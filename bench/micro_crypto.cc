@@ -9,6 +9,7 @@
 #include "crypto/ec2m.h"
 #include "crypto/gcm.h"
 #include "crypto/keystore.h"
+#include "crypto/primes.h"
 
 namespace qtls {
 namespace {
@@ -52,6 +53,32 @@ void BM_EcdhP256(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EcdhP256)->Unit(benchmark::kMicrosecond);
+
+void BM_EcKeygenP256(benchmark::State& state) {
+  HmacDrbg rng = make_test_drbg(5);
+  const Bignum k = random_below(curve_p256().order(), rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curve_p256().mul_base(k));
+  }
+}
+BENCHMARK(BM_EcKeygenP256)->Unit(benchmark::kMicrosecond);
+
+// One full-width modular exponentiation (random odd modulus, base and
+// exponent of state.range(0) bits): the RSA CRT half at 1024 bits, the
+// plain private op at 2048.
+void BM_ModExp(benchmark::State& state) {
+  const size_t bits = static_cast<size_t>(state.range(0));
+  HmacDrbg rng = make_test_drbg(6);
+  Bignum m = random_bits(bits, rng);
+  if (!m.is_odd()) m = Bignum::add(m, Bignum(1));
+  const MontCtx ctx(m);
+  const Bignum a = random_below(m, rng);
+  const Bignum e = random_bits(bits, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.exp(a, e));
+  }
+}
+BENCHMARK(BM_ModExp)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
 void BM_EcdhP384(benchmark::State& state) {
   HmacDrbg rng = make_test_drbg(3);

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "crypto/fixed_mont.h"
+
 namespace qtls {
 
 using u128 = unsigned __int128;
@@ -394,7 +396,29 @@ Bignum MontCtx::mul(const Bignum& a, const Bignum& b) const {
   return out;
 }
 
+namespace {
+template <size_t K>
+Bignum exp_fixed(const MontCtx& ctx, const Bignum& a, const Bignum& e) {
+  const fixed::Mont<K> m(ctx);
+  fixed::Fe<K> x = fixed::Fe<K>::from(Bignum::mod(a, ctx.modulus()));
+  m.to_mont(x, x);
+  m.exp(x, x, e.limbs().data(), e.limb_count());
+  m.from_mont(x, x);
+  return x.to_bignum();
+}
+}  // namespace
+
 Bignum MontCtx::exp(const Bignum& a, const Bignum& e) const {
+  switch (k_) {
+    case 4: return exp_fixed<4>(*this, a, e);
+    case 6: return exp_fixed<6>(*this, a, e);
+    case 16: return exp_fixed<16>(*this, a, e);
+    case 32: return exp_fixed<32>(*this, a, e);
+    default: return exp_generic(a, e);
+  }
+}
+
+Bignum MontCtx::exp_generic(const Bignum& a, const Bignum& e) const {
   if (e.is_zero()) return Bignum::mod(Bignum(1), n_);
   const Bignum base = to_mont(Bignum::mod(a, n_));
 

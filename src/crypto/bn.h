@@ -6,9 +6,14 @@
 // (extended gcd for modular inverse) handles sign locally.
 //
 // This is functional cryptography, not side-channel hardened (see
-// DESIGN.md §6): branches and early exits depend on values. Performance is
-// adequate for the real-execution plane (RSA-2048 sign in the low
-// milliseconds); the figure benches charge calibrated costs instead.
+// DESIGN.md §6): branches and early exits depend on values. Every Bignum
+// operation allocates its result, so the hot exponentiations do not run
+// here: MontCtx::exp hands the 4/6/16/32-limb moduli (P-256/P-384 fields,
+// RSA-2048 CRT halves and public op) to the allocation-free fixed-width
+// code in crypto/fixed_mont.h, and EcCurve does the same for P-256/P-384
+// scalar multiplication. The code here stays the oracle for those paths
+// and serves every other size; the figure benches charge calibrated costs
+// instead.
 #pragma once
 
 #include <cstdint>
@@ -120,9 +125,17 @@ class MontCtx {
 
   // (a * b * R^-1) mod n for a, b already in the Montgomery domain.
   Bignum mul(const Bignum& a, const Bignum& b) const;
-  // a^e mod n (a in the normal domain; result in the normal domain).
+  // a^e mod n (a in the normal domain; result in the normal domain). Moduli
+  // of 4, 6, 16 or 32 limbs take the fixed-width path (crypto/fixed_mont.h),
+  // every other size exp_generic.
   Bignum exp(const Bignum& a, const Bignum& e) const;
+  // The allocating window exponentiation over mul(): the oracle the
+  // fixed-width path is tested against.
+  Bignum exp_generic(const Bignum& a, const Bignum& e) const;
   Bignum one_mont() const { return to_mont(Bignum(1)); }
+
+  uint64_t n0inv() const { return n0inv_; }
+  const Bignum& rr() const { return rr_; }
 
  private:
   Bignum n_;

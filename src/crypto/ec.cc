@@ -1,12 +1,294 @@
 #include "crypto/ec.h"
 
 #include <algorithm>
+#include <mutex>
 #include <vector>
 
+#include "crypto/fixed_mont.h"
 #include "crypto/kdf.h"
 #include "crypto/primes.h"
 
 namespace qtls {
+
+// Scalar multiplication by a scalar already reduced into [1, n) of a point
+// that is not at infinity.
+struct EcFixedPath {
+  EcFixedPath() = default;
+  EcFixedPath(const EcFixedPath&) = delete;
+  EcFixedPath& operator=(const EcFixedPath&) = delete;
+  virtual ~EcFixedPath() = default;
+
+  virtual EcPoint mul(const Bignum& k, const EcPoint& pt) const = 0;
+  virtual EcPoint mul_base(const Bignum& k) const = 0;
+};
+
+namespace {
+
+// P-256/P-384 on K-limb stack field elements: Jacobian formulas specialised
+// to a = -3 (dbl-2001-b, add-2007-bl, madd-2007-bl), Fermat inversion
+// (z^(p-2)) in to_affine, a 4-bit fixed window for variable points and an
+// 8-tooth Lim-Lee comb for the generator.
+template <size_t K>
+class FixedCurve final : public EcFixedPath {
+ public:
+  using F = fixed::Fe<K>;
+
+  explicit FixedCurve(const EcCurve& curve)
+      : f_(curve.field()),
+        p_minus_2_(F::from(Bignum::sub(curve.p(), Bignum(2)))),
+        g_(to_jacobian(curve.generator())),
+        comb_cols_((curve.order().bit_length() + kTeeth - 1) / kTeeth) {}
+
+  EcPoint mul(const Bignum& k, const EcPoint& pt) const override {
+    Jac table[16];
+    table[1] = to_jacobian(pt);
+    dbl(table[2], table[1]);
+    for (size_t i = 3; i < 16; ++i) add(table[i], table[i - 1], table[1]);
+
+    const F s = F::from(k);
+    Jac acc;
+    for (size_t win = (k.bit_length() + 3) / 4; win-- > 0;) {
+      for (int d = 0; d < 4; ++d) dbl(acc, acc);
+      const size_t idx = (s.v[win / 16] >> (4 * (win % 16))) & 0xf;
+      if (idx != 0) add(acc, acc, table[idx]);
+    }
+    return to_affine(acc);
+  }
+
+  EcPoint mul_base(const Bignum& k) const override {
+    const std::vector<Aff>& comb = comb_table();
+    const F s = F::from(k);
+    Jac acc;
+    for (size_t col = comb_cols_; col-- > 0;) {
+      dbl(acc, acc);
+      size_t mask = 0;
+      for (size_t j = 0; j < kTeeth; ++j) {
+        const size_t bit = j * comb_cols_ + col;
+        if (bit / 64 < K) mask |= ((s.v[bit / 64] >> (bit % 64)) & 1) << j;
+      }
+      if (mask != 0) add_affine(acc, acc, comb[mask - 1]);
+    }
+    return to_affine(acc);
+  }
+
+ private:
+  static constexpr size_t kTeeth = 8;
+
+  // Montgomery-domain coordinates; infinity iff z == 0 (the default).
+  struct Jac {
+    F x, y, z;
+  };
+  struct Aff {
+    F x, y;
+  };
+
+  Jac to_jacobian(const EcPoint& pt) const {
+    Jac out;
+    f_.to_mont(out.x, F::from(pt.x));
+    f_.to_mont(out.y, F::from(pt.y));
+    out.z = f_.one();
+    return out;
+  }
+
+  EcPoint to_affine(const Jac& p) const {
+    if (p.z.is_zero()) return EcPoint::at_infinity();
+    F zinv, x, y;
+    invert(zinv, p.z);
+    to_affine_coords(x, y, p, zinv);
+    f_.from_mont(x, x);
+    f_.from_mont(y, y);
+    return EcPoint::affine(x.to_bignum(), y.to_bignum());
+  }
+
+  void invert(F& r, const F& a) const { f_.exp(r, a, p_minus_2_.v, K); }
+
+  // x = X / Z^2, y = Y / Z^3 given zinv = 1 / Z (all Montgomery domain).
+  void to_affine_coords(F& x, F& y, const Jac& p, const F& zinv) const {
+    F zinv2;
+    f_.sqr(zinv2, zinv);
+    f_.mul(x, p.x, zinv2);
+    f_.mul(zinv2, zinv2, zinv);
+    f_.mul(y, p.y, zinv2);
+  }
+
+  // dbl-2001-b (a = -3). r may alias p.
+  void dbl(Jac& r, const Jac& p) const {
+    if (p.z.is_zero() || p.y.is_zero()) {
+      r = Jac{};
+      return;
+    }
+    F delta, gamma, beta, alpha, t;
+    f_.sqr(delta, p.z);
+    f_.sqr(gamma, p.y);
+    f_.mul(beta, p.x, gamma);
+    // alpha = 3 (X - delta)(X + delta)
+    f_.sub(t, p.x, delta);
+    f_.add(alpha, p.x, delta);
+    f_.mul(t, t, alpha);
+    f_.add(alpha, t, t);
+    f_.add(alpha, alpha, t);
+    // Z3 = 2 Y Z
+    F z3;
+    f_.mul(z3, p.y, p.z);
+    f_.add(z3, z3, z3);
+    // X3 = alpha^2 - 8 beta
+    F beta4, x3;
+    f_.add(beta4, beta, beta);
+    f_.add(beta4, beta4, beta4);
+    f_.sqr(x3, alpha);
+    f_.sub(x3, x3, beta4);
+    f_.sub(x3, x3, beta4);
+    // Y3 = alpha (4 beta - X3) - 8 gamma^2
+    F y3;
+    f_.sub(y3, beta4, x3);
+    f_.mul(y3, y3, alpha);
+    f_.sqr(t, gamma);
+    f_.add(t, t, t);
+    f_.add(t, t, t);
+    f_.add(t, t, t);
+    f_.sub(y3, y3, t);
+    r.x = x3;
+    r.y = y3;
+    r.z = z3;
+  }
+
+  // Shared tail of add/add_affine: given U1, S1 (the first point scaled to
+  // the common denominator), H = U2 - U1, R = S2 - S1 and zh = Z1 Z2,
+  // X3 = R'^2 - J - 2V, Y3 = R' (V - X3) - 2 S1 J and Z3 = 2 H zh, with
+  // I = (2H)^2, J = H I, R' = 2R, V = U1 I. Every input is read before r
+  // is written, so r may alias the point they came from.
+  void finish_add(Jac& r, const F& u1, const F& s1, const F& h, const F& rr,
+                  const F& zh) const {
+    F i, j, v, r2, x3, y3, z3, t;
+    f_.add(i, h, h);
+    f_.sqr(i, i);
+    f_.mul(j, h, i);
+    f_.add(r2, rr, rr);
+    f_.mul(v, u1, i);
+    f_.sqr(x3, r2);
+    f_.sub(x3, x3, j);
+    f_.sub(x3, x3, v);
+    f_.sub(x3, x3, v);
+    f_.sub(y3, v, x3);
+    f_.mul(y3, y3, r2);
+    f_.mul(t, s1, j);
+    f_.add(t, t, t);
+    f_.sub(y3, y3, t);
+    f_.mul(z3, zh, h);
+    f_.add(z3, z3, z3);
+    r.x = x3;
+    r.y = y3;
+    r.z = z3;
+  }
+
+  // add-2007-bl. r may alias p or q.
+  void add(Jac& r, const Jac& p, const Jac& q) const {
+    if (p.z.is_zero()) {
+      r = q;
+      return;
+    }
+    if (q.z.is_zero()) {
+      r = p;
+      return;
+    }
+    F z1z1, z2z2, u1, u2, s1, s2, h, rr;
+    f_.sqr(z1z1, p.z);
+    f_.sqr(z2z2, q.z);
+    f_.mul(u1, p.x, z2z2);
+    f_.mul(u2, q.x, z1z1);
+    f_.mul(s1, p.y, q.z);
+    f_.mul(s1, s1, z2z2);
+    f_.mul(s2, q.y, p.z);
+    f_.mul(s2, s2, z1z1);
+    f_.sub(h, u2, u1);
+    f_.sub(rr, s2, s1);
+    if (h.is_zero()) {
+      if (rr.is_zero()) {
+        dbl(r, p);
+      } else {
+        r = Jac{};  // P + (-P)
+      }
+      return;
+    }
+    F zz;
+    f_.mul(zz, p.z, q.z);
+    finish_add(r, u1, s1, h, rr, zz);
+  }
+
+  // madd-2007-bl: q affine (Z2 = 1). r may alias p.
+  void add_affine(Jac& r, const Jac& p, const Aff& q) const {
+    if (p.z.is_zero()) {
+      r.x = q.x;
+      r.y = q.y;
+      r.z = f_.one();
+      return;
+    }
+    F z1z1, u2, s2, h, rr;
+    f_.sqr(z1z1, p.z);
+    f_.mul(u2, q.x, z1z1);
+    f_.mul(s2, q.y, p.z);
+    f_.mul(s2, s2, z1z1);
+    f_.sub(h, u2, p.x);
+    f_.sub(rr, s2, p.y);
+    if (h.is_zero()) {
+      if (rr.is_zero()) {
+        dbl(r, p);
+      } else {
+        r = Jac{};
+      }
+      return;
+    }
+    finish_add(r, p.x, p.y, h, rr, p.z);
+  }
+
+  // comb[mask - 1] = sum over the set bits j of mask of 2^(j * cols) G, in
+  // affine Montgomery form: 255 points, 16 KB for P-256 and 24 KB for P-384.
+  // Built on first use; call_once makes concurrent first callers wait.
+  const std::vector<Aff>& comb_table() const {
+    std::call_once(comb_once_, [this] { build_comb(); });
+    return comb_;
+  }
+
+  void build_comb() const {
+    constexpr size_t kEntries = (size_t{1} << kTeeth) - 1;
+    std::vector<Jac> pts(kEntries);
+    Jac tooth = g_;
+    for (size_t j = 0; j < kTeeth; ++j) {
+      if (j > 0)
+        for (size_t d = 0; d < comb_cols_; ++d) dbl(tooth, tooth);
+      const size_t high = size_t{1} << j;
+      pts[high - 1] = tooth;
+      for (size_t mask = high + 1; mask < 2 * high; ++mask)
+        add(pts[mask - 1], pts[mask - high - 1], tooth);
+    }
+    // One inversion for all 255 points (Montgomery's batch trick):
+    // prefix[i] = z_0 ... z_{i-1}.
+    std::vector<F> prefix(kEntries);
+    F acc = f_.one();
+    for (size_t i = 0; i < kEntries; ++i) {
+      prefix[i] = acc;
+      f_.mul(acc, acc, pts[i].z);
+    }
+    F inv;
+    invert(inv, acc);  // 1 / (z_0 ... z_{n-1})
+    comb_.resize(kEntries);
+    for (size_t i = kEntries; i-- > 0;) {
+      F zinv;
+      f_.mul(zinv, inv, prefix[i]);
+      f_.mul(inv, inv, pts[i].z);
+      to_affine_coords(comb_[i].x, comb_[i].y, pts[i], zinv);
+    }
+  }
+
+  const fixed::Mont<K> f_;
+  const F p_minus_2_;
+  const Jac g_;
+  const size_t comb_cols_;  // ceil(order bits / kTeeth)
+  mutable std::once_flag comb_once_;
+  mutable std::vector<Aff> comb_;
+};
+
+}  // namespace
 
 // Jacobian point with coordinates in the Montgomery domain of the field.
 struct EcCurve::Jacobian {
@@ -28,7 +310,14 @@ EcCurve::EcCurve(std::string name, const std::string& p_hex,
       mont_(std::make_unique<MontCtx>(p_)) {
   a_mont_ = mont_->to_mont(a_);
   b_mont_ = mont_->to_mont(b_);
+  // The fixed-width formulas assume a = -3, as on every NIST prime curve.
+  if (a_ == Bignum::sub(p_, Bignum(3))) {
+    if (mont_->limbs() == 4) fixed_ = std::make_unique<FixedCurve<4>>(*this);
+    if (mont_->limbs() == 6) fixed_ = std::make_unique<FixedCurve<6>>(*this);
+  }
 }
+
+EcCurve::~EcCurve() = default;
 
 bool EcCurve::on_curve(const EcPoint& pt) const {
   if (pt.infinity) return true;
@@ -147,6 +436,21 @@ EcPoint EcCurve::dbl(const EcPoint& pt) const {
 }
 
 EcPoint EcCurve::mul(const Bignum& k, const EcPoint& pt) const {
+  if (!fixed_) return mul_generic(k, pt);
+  if (pt.infinity) return EcPoint::at_infinity();
+  const Bignum scalar = Bignum::cmp(k, n_) >= 0 ? Bignum::mod(k, n_) : k;
+  if (scalar.is_zero()) return EcPoint::at_infinity();
+  return fixed_->mul(scalar, pt);
+}
+
+EcPoint EcCurve::mul_base(const Bignum& k) const {
+  if (!fixed_) return mul_base_generic(k);
+  const Bignum scalar = Bignum::cmp(k, n_) >= 0 ? Bignum::mod(k, n_) : k;
+  if (scalar.is_zero()) return EcPoint::at_infinity();
+  return fixed_->mul_base(scalar);
+}
+
+EcPoint EcCurve::mul_generic(const Bignum& k, const EcPoint& pt) const {
   Bignum scalar = Bignum::cmp(k, n_) >= 0 ? Bignum::mod(k, n_) : k;
   if (scalar.is_zero() || pt.infinity) return EcPoint::at_infinity();
 

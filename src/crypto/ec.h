@@ -2,6 +2,11 @@
 // Jacobian-coordinate arithmetic over Montgomery-domain field elements.
 // Provides NIST P-256 and P-384 — the ECDHE groups and ECDSA curves of
 // Figures 7b/7c/8.
+//
+// Scalar multiplication on a curve with a 4- or 6-limb field and a = -3
+// (P-256, P-384) runs on fixed-width stack limbs (crypto/fixed_mont.h);
+// every other curve, and the oracle the fast path is tested against, uses
+// the generic Bignum/MontCtx code (mul_generic).
 #pragma once
 
 #include <memory>
@@ -14,6 +19,7 @@
 namespace qtls {
 
 class HmacDrbg;
+struct EcFixedPath;  // fixed-width P-256/P-384 scalar multiplication (ec.cc)
 
 struct EcPoint {
   Bignum x;
@@ -31,6 +37,7 @@ class EcCurve {
   EcCurve(std::string name, const std::string& p_hex, const std::string& a_hex,
           const std::string& b_hex, const std::string& gx_hex,
           const std::string& gy_hex, const std::string& n_hex);
+  ~EcCurve();
 
   const std::string& name() const { return name_; }
   const Bignum& p() const { return p_; }
@@ -45,7 +52,14 @@ class EcCurve {
   EcPoint dbl(const EcPoint& pt) const;
   // Scalar multiplication k * pt (k reduced mod order internally).
   EcPoint mul(const Bignum& k, const EcPoint& pt) const;
-  EcPoint mul_base(const Bignum& k) const { return mul(k, generator()); }
+  // k * G; on the fixed-width path this uses a comb table for G built on
+  // first use.
+  EcPoint mul_base(const Bignum& k) const;
+  // The generic Bignum/MontCtx multiplication: the oracle for mul/mul_base.
+  EcPoint mul_generic(const Bignum& k, const EcPoint& pt) const;
+  EcPoint mul_base_generic(const Bignum& k) const {
+    return mul_generic(k, generator());
+  }
 
   // SEC1 uncompressed encoding: 0x04 || X || Y.
   Bytes encode_point(const EcPoint& pt) const;
@@ -64,6 +78,7 @@ class EcCurve {
   Bignum p_, a_, b_, gx_, gy_, n_;
   std::unique_ptr<MontCtx> mont_;
   Bignum a_mont_, b_mont_;
+  std::unique_ptr<const EcFixedPath> fixed_;  // null: generic path only
 };
 
 // Built-in curves (lazily constructed singletons).

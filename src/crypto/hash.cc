@@ -20,6 +20,7 @@ class Sha1Ctx final : public HashCtx {
   Sha1Ctx() { reset(); }
 
   void update(BytesView data) override {
+    if (data.empty()) return;  // data() may be null; memcpy forbids that
     total_ += data.size();
     size_t off = 0;
     if (buf_len_ > 0) {
@@ -138,6 +139,7 @@ class Sha256Ctx final : public HashCtx {
   Sha256Ctx() { reset(); }
 
   void update(BytesView data) override {
+    if (data.empty()) return;  // data() may be null; memcpy forbids that
     total_ += data.size();
     size_t off = 0;
     if (buf_len_ > 0) {
@@ -274,6 +276,7 @@ class Sha512Ctx final : public HashCtx {
   explicit Sha512Ctx(bool is384) : is384_(is384) { reset(); }
 
   void update(BytesView data) override {
+    if (data.empty()) return;  // data() may be null; memcpy forbids that
     total_ += data.size();
     size_t off = 0;
     if (buf_len_ > 0) {

@@ -5,6 +5,8 @@
 // code path.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "crypto/keystore.h"
 #include "server_test_util.h"
 
@@ -87,6 +89,17 @@ TEST_P(WorkerMatrixTest, HandshakesAndRequestsSucceed) {
         900 + static_cast<uint64_t>(i)));
   }
   ASSERT_TRUE(testutil::run_to_completion(&worker, &pool));
+  // run_to_completion returns when the CLIENTS are done; the server may
+  // still be parked on the async offload that decrypts a client's final
+  // close_notify. Drive the loop until no connection waits on an offload
+  // (as WorkerE2E.ActiveIdleAccounting does) before checking that nothing
+  // is left in flight.
+  const auto settle_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (worker.pending_async_connections() > 0 &&
+         std::chrono::steady_clock::now() < settle_deadline)
+    worker.run_once(0);
+  ASSERT_EQ(worker.pending_async_connections(), 0u);
   const auto stats = pool.aggregate();
   EXPECT_EQ(stats.errors, 0u);
   EXPECT_EQ(stats.requests, 6u);
