@@ -1,15 +1,17 @@
 // HTTPS web server example — the paper's evaluation setup in one process:
-// an event-driven worker with the full QTLS pipeline (async offload +
-// heuristic polling + kernel-bypass notification), configured through the
-// Appendix A.7 ssl_engine framework, plus an in-process client fleet.
+// a WorkerPool of event-driven workers with the full QTLS pipeline (async
+// offload + heuristic polling + kernel-bypass notification), configured
+// through the Appendix A.7 ssl_engine framework, plus an in-process client
+// fleet.
 //
-// Default ("self test"): drive N clients over AF_UNIX socketpairs for a few
-// seconds and print throughput/latency stats. With --listen <port> it
-// instead serves HTTPS on 127.0.0.1:<port> through a WorkerPool until
-// SIGTERM/SIGINT, then drains gracefully: accepts stop, in-flight requests
-// finish, and stragglers are force-closed at the drain deadline (connect
-// with the tls_terminator example or this binary's own client mode is left
-// as an exercise — the wire format is this library's own; see DESIGN.md §5).
+// Default ("self test"): start the pool on an ephemeral loopback port,
+// drive N clients against it for a few seconds and print throughput/latency
+// stats. With --listen <port> the same pool instead serves HTTPS on
+// 127.0.0.1:<port> until SIGTERM/SIGINT, then drains gracefully: accepts
+// stop, in-flight requests finish, and stragglers are force-closed at the
+// drain deadline (connect with the tls_terminator example or this binary's
+// own client mode is left as an exercise — the wire format is this
+// library's own; see DESIGN.md §5).
 #include <csignal>
 #include <chrono>
 #include <cstdio>
@@ -18,6 +20,7 @@
 
 #include "client/https_client.h"
 #include "crypto/keystore.h"
+#include "net/socket_transport.h"
 #include "server/control.h"
 #include "server/worker_pool.h"
 
@@ -98,15 +101,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   // Device fleet from the qat_topology{} block; each logical device is
-  // DH8970-shaped (3 endpoints x 12 engines). The single-worker self-test
-  // below rides device 0; the pool stripes workers across the fleet.
+  // DH8970-shaped (3 endpoints x 12 engines). Both modes build the same
+  // WorkerPool over it: workers take their instances from the topology and
+  // run their own loops on their own threads.
   qat::TopologyConfig topo_config;
   topo_config.num_devices = settings.value().topology.devices;
   topo_config.numa_nodes = settings.value().topology.numa_nodes;
   topo_config.spill_threshold = settings.value().topology.spill_threshold;
   qat::DeviceTopology topology(topo_config);
-  engine::QatEngineProvider qat_engine(topology.device(0).allocate_instance(),
-                                       settings.value().engine);
 
   tls::TlsContextConfig tls_config;
   tls_config.is_server = true;
@@ -114,11 +116,13 @@ int main(int argc, char** argv) {
       settings.value().engine.offload_mode == engine::OffloadMode::kAsync;
   tls_config.cipher_suites = {tls::CipherSuite::kEcdheRsaWithAes128CbcSha,
                               tls::CipherSuite::kTlsRsaWithAes128CbcSha};
-  tls::TlsContext tls_ctx(tls_config, &qat_engine);
-  tls_ctx.credentials().rsa_key = &test_rsa2048();
-  tls_ctx.credentials().ecdsa_p256 = &test_ec_key_p256();
 
-  server::WorkerConfig worker_config;
+  server::WorkerPoolOptions options;
+  options.workers = settings.value().worker_processes;
+  options.tls_config = tls_config;
+  options.engine_config = settings.value().engine;
+  options.worker_affinity = settings.value().topology.worker_affinity;
+  server::WorkerConfig& worker_config = options.worker_config;
   worker_config.notify = settings.value().notify;
   worker_config.poll = settings.value().poll;
   worker_config.heuristic = settings.value().heuristic;
@@ -131,23 +135,16 @@ int main(int argc, char** argv) {
       file_root != nullptr ? file_root : settings.value().file_root;
 
   if (listen_port >= 0) {
-    // Serving mode: a WorkerPool (SO_REUSEPORT accept sharing, one QAT
-    // instance per worker) with SIGTERM/SIGINT wired to graceful drain and
-    // the self-healing control plane (DESIGN.md §15) on top: SIGHUP hot
-    // reloads the conf, the supervisor watchdogs every worker, and each
-    // worker serves GET /healthz, GET /readyz and POST /reload.
+    // Serving mode: SIGTERM/SIGINT wired to graceful drain and the
+    // self-healing control plane (DESIGN.md §15) on top: SIGHUP hot reloads
+    // the conf, the supervisor watchdogs every worker, and each worker
+    // serves GET /healthz, GET /readyz and POST /reload.
     server::ControlPlane control;
     if (auto st = control.load(kConf); !st.is_ok()) {
       std::fprintf(stderr, "control load failed: %s\n", st.to_string().c_str());
       return 1;
     }
-    server::WorkerPoolOptions options;
-    options.workers = settings.value().worker_processes;
-    options.worker_config = worker_config;
     options.worker_config.control = &control;
-    options.tls_config = tls_config;
-    options.engine_config = settings.value().engine;
-    options.worker_affinity = settings.value().topology.worker_affinity;
     auto pool = std::make_unique<server::WorkerPool>(
         &topology, &test_rsa2048(), options);
     auto status = pool->start(static_cast<uint16_t>(listen_port));
@@ -182,41 +179,60 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  server::Worker worker(&tls_ctx, &qat_engine, worker_config);
+  // Self test: the pool on an ephemeral loopback port, in-process clients
+  // over TCP from this thread.
+  server::WorkerPool pool(&topology, &test_rsa2048(), options);
+  if (auto st = pool.start(0); !st.is_ok()) {
+    std::fprintf(stderr, "pool start failed: %s\n", st.to_string().c_str());
+    return 1;
+  }
+  const uint16_t port = pool.port();
+  const client::ConnectFn connect = [port]() -> int {
+    auto fd = net::tcp_connect(port);
+    return fd.is_ok() ? fd.value() : -1;
+  };
 
-  // Self test: in-process clients over socketpairs.
   engine::SoftwareProvider client_provider;
   tls::TlsContextConfig client_config;
   client_config.cipher_suites = tls_config.cipher_suites;
   tls::TlsContext client_ctx(client_config, &client_provider);
 
-  client::Pool pool;
+  client::Pool clients_pool;
   for (int i = 0; i < clients; ++i) {
     client::ClientOptions copts;
     copts.keepalive = false;  // s_time style: handshake per request
     copts.full_handshake_ratio = 0.5;
-    pool.add(std::make_unique<client::HttpsClient>(
-        &client_ctx,
-        [&worker]() -> int {
-          auto pair = net::make_socketpair();
-          if (!pair.is_ok()) return -1;
-          (void)worker.adopt(pair.value().second);
-          return pair.value().first;
-        },
-        copts, 1000 + static_cast<uint64_t>(i)));
+    clients_pool.add(std::make_unique<client::HttpsClient>(
+        &client_ctx, connect, copts, 1000 + static_cast<uint64_t>(i)));
   }
 
-  std::printf("self test: %d clients, %d seconds, QTLS configuration\n",
-              clients, seconds);
+  std::printf("self test: %d clients, %d seconds, %d workers, QTLS "
+              "configuration\n",
+              clients, seconds, pool.workers());
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
-  while (std::chrono::steady_clock::now() < deadline) {
-    for (auto& c : pool.clients()) c->step();
-    worker.run_once(0);
-  }
+  while (std::chrono::steady_clock::now() < deadline)
+    for (auto& c : clients_pool.clients()) c->step();
 
-  const client::ClientStats stats = pool.aggregate();
-  const auto& wstats = worker.stats();
+  if (show_stats) {
+    // Fetch a worker's own GET /stats endpoint (DESIGN.md §8) the way an
+    // operator would, over a fresh connection.
+    client::ClientOptions sopts;
+    sopts.path = "/stats";
+    sopts.max_requests = 1;
+    client::HttpsClient stats_client(&client_ctx, connect, sopts, 9999);
+    while (stats_client.step()) {
+    }
+    std::printf("\nGET /stats:\n%.*s\n",
+                static_cast<int>(stats_client.last_body().size()),
+                reinterpret_cast<const char*>(stats_client.last_body().data()));
+  }
+  // Stopped before reading the per-worker stats, which are worker-thread
+  // state while the loops run.
+  pool.stop();
+
+  const client::ClientStats stats = clients_pool.aggregate();
+  const server::WorkerPoolStats pstats = pool.stats();
   std::printf("\nresults over %ds:\n", seconds);
   std::printf("  handshakes: %llu (%llu resumed)\n",
               static_cast<unsigned long long>(stats.connections),
@@ -227,40 +243,29 @@ int main(int argc, char** argv) {
   std::printf("  CPS:        %.0f\n",
               static_cast<double>(stats.connections) / seconds);
   std::printf("  latency:    %s\n", stats.response_time.summary().c_str());
-  std::printf("  worker: async parks=%llu disorder events=%llu\n",
-              static_cast<unsigned long long>(wstats.async_parks),
-              static_cast<unsigned long long>(wstats.disorder_events));
-  if (worker.poller_stats()) {
-    std::printf("  heuristic polls=%llu (timeliness=%llu efficiency=%llu)\n",
-                static_cast<unsigned long long>(worker.poller_stats()->polls),
-                static_cast<unsigned long long>(
-                    worker.poller_stats()->timeliness_triggers),
-                static_cast<unsigned long long>(
-                    worker.poller_stats()->efficiency_triggers));
+  std::printf("  workers: async parks=%llu disorder events=%llu idle "
+              "sleeps=%llu\n",
+              static_cast<unsigned long long>(pstats.totals.async_parks),
+              static_cast<unsigned long long>(pstats.totals.disorder_events),
+              static_cast<unsigned long long>(pstats.totals.idle_sleeps));
+  server::HeuristicPollerStats polls;
+  for (int i = 0; i < pool.workers(); ++i) {
+    if (const server::HeuristicPollerStats* p = pool.worker(i)->poller_stats()) {
+      polls.polls += p->polls;
+      polls.timeliness_triggers += p->timeliness_triggers;
+      polls.efficiency_triggers += p->efficiency_triggers;
+      polls.failover_triggers += p->failover_triggers;
+    }
   }
-  std::printf("  device: %s\n",
-              topology.device(0).fw_counters().to_string().c_str());
+  std::printf("  heuristic polls=%llu (timeliness=%llu efficiency=%llu "
+              "failover=%llu)\n",
+              static_cast<unsigned long long>(polls.polls),
+              static_cast<unsigned long long>(polls.timeliness_triggers),
+              static_cast<unsigned long long>(polls.efficiency_triggers),
+              static_cast<unsigned long long>(polls.failover_triggers));
+  for (int d = 0; d < topology.num_devices(); ++d)
+    std::printf("  device %d: %s\n", d,
+                topology.device(d).fw_counters().to_string().c_str());
   std::printf("  topology: %s\n", topology.stats_json().c_str());
-
-  if (show_stats) {
-    // Fetch the worker's own GET /stats endpoint (DESIGN.md §8) the way an
-    // operator would, over a fresh connection.
-    client::ClientOptions sopts;
-    sopts.path = "/stats";
-    sopts.max_requests = 1;
-    client::HttpsClient stats_client(
-        &client_ctx,
-        [&worker]() -> int {
-          auto pair = net::make_socketpair();
-          if (!pair.is_ok()) return -1;
-          (void)worker.adopt(pair.value().second);
-          return pair.value().first;
-        },
-        sopts, 9999);
-    while (stats_client.step()) worker.run_once(0);
-    std::printf("\nGET /stats:\n%.*s\n",
-                static_cast<int>(stats_client.last_body().size()),
-                reinterpret_cast<const char*>(stats_client.last_body().data()));
-  }
   return stats.errors == 0 ? 0 : 1;
 }

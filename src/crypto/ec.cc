@@ -20,6 +20,9 @@ struct EcFixedPath {
 
   virtual EcPoint mul(const Bignum& k, const EcPoint& pt) const = 0;
   virtual EcPoint mul_base(const Bignum& k) const = 0;
+  // Arithmetic modulo the group order n, operands in [0, n).
+  virtual Bignum order_mul(const Bignum& a, const Bignum& b) const = 0;
+  virtual Bignum order_inverse(const Bignum& a) const = 0;
 };
 
 namespace {
@@ -27,17 +30,20 @@ namespace {
 // P-256/P-384 on K-limb stack field elements: Jacobian formulas specialised
 // to a = -3 (dbl-2001-b, add-2007-bl, madd-2007-bl), Fermat inversion
 // (z^(p-2)) in to_affine, a 4-bit fixed window for variable points and an
-// 8-tooth Lim-Lee comb for the generator.
+// 8-tooth Lim-Lee comb for the generator. ECDSA's arithmetic modulo the
+// (prime, K-limb) order n runs on a second Mont<K>, inverting as a^(n-2).
 template <size_t K>
 class FixedCurve final : public EcFixedPath {
  public:
   using F = fixed::Fe<K>;
 
-  explicit FixedCurve(const EcCurve& curve)
+  FixedCurve(const EcCurve& curve, const MontCtx& order)
       : f_(curve.field()),
         p_minus_2_(F::from(Bignum::sub(curve.p(), Bignum(2)))),
         g_(to_jacobian(curve.generator())),
-        comb_cols_((curve.order().bit_length() + kTeeth - 1) / kTeeth) {}
+        comb_cols_((curve.order().bit_length() + kTeeth - 1) / kTeeth),
+        n_(order),
+        n_minus_2_(F::from(Bignum::sub(curve.order(), Bignum(2)))) {}
 
   EcPoint mul(const Bignum& k, const EcPoint& pt) const override {
     Jac table[16];
@@ -69,6 +75,22 @@ class FixedCurve final : public EcFixedPath {
       if (mask != 0) add_affine(acc, acc, comb[mask - 1]);
     }
     return to_affine(acc);
+  }
+
+  // a b mod n: a R * b / R, with one multiply to enter the domain.
+  Bignum order_mul(const Bignum& a, const Bignum& b) const override {
+    F r;
+    n_.to_mont(r, F::from(a));
+    n_.mul(r, r, F::from(b));
+    return r.to_bignum();
+  }
+
+  Bignum order_inverse(const Bignum& a) const override {
+    F r;
+    n_.to_mont(r, F::from(a));
+    n_.exp(r, r, n_minus_2_.v, K);
+    n_.from_mont(r, r);
+    return r.to_bignum();
   }
 
  private:
@@ -286,6 +308,8 @@ class FixedCurve final : public EcFixedPath {
   const size_t comb_cols_;  // ceil(order bits / kTeeth)
   mutable std::once_flag comb_once_;
   mutable std::vector<Aff> comb_;
+  const fixed::Mont<K> n_;  // the group order
+  const F n_minus_2_;
 };
 
 }  // namespace
@@ -310,10 +334,14 @@ EcCurve::EcCurve(std::string name, const std::string& p_hex,
       mont_(std::make_unique<MontCtx>(p_)) {
   a_mont_ = mont_->to_mont(a_);
   b_mont_ = mont_->to_mont(b_);
-  // The fixed-width formulas assume a = -3, as on every NIST prime curve.
-  if (a_ == Bignum::sub(p_, Bignum(3))) {
-    if (mont_->limbs() == 4) fixed_ = std::make_unique<FixedCurve<4>>(*this);
-    if (mont_->limbs() == 6) fixed_ = std::make_unique<FixedCurve<6>>(*this);
+  // The fixed-width formulas assume a = -3, as on every NIST prime curve,
+  // and an order as wide as the field.
+  if (a_ == Bignum::sub(p_, Bignum(3)) && n_.is_odd()) {
+    const MontCtx order(n_);
+    if (mont_->limbs() == 4 && order.limbs() == 4)
+      fixed_ = std::make_unique<FixedCurve<4>>(*this, order);
+    if (mont_->limbs() == 6 && order.limbs() == 6)
+      fixed_ = std::make_unique<FixedCurve<6>>(*this, order);
   }
 }
 
@@ -448,6 +476,14 @@ EcPoint EcCurve::mul_base(const Bignum& k) const {
   const Bignum scalar = Bignum::cmp(k, n_) >= 0 ? Bignum::mod(k, n_) : k;
   if (scalar.is_zero()) return EcPoint::at_infinity();
   return fixed_->mul_base(scalar);
+}
+
+Bignum EcCurve::order_mul(const Bignum& a, const Bignum& b) const {
+  return fixed_ ? fixed_->order_mul(a, b) : order_mul_generic(a, b);
+}
+
+Bignum EcCurve::order_inverse(const Bignum& a) const {
+  return fixed_ ? fixed_->order_inverse(a) : order_inverse_generic(a);
 }
 
 EcPoint EcCurve::mul_generic(const Bignum& k, const EcPoint& pt) const {
@@ -605,18 +641,18 @@ Bignum digest_to_scalar(const EcCurve& curve, BytesView digest) {
 EcdsaSignature ecdsa_sign(const EcCurve& curve, const Bignum& priv,
                           BytesView digest, HmacDrbg& rng) {
   const Bignum& n = curve.order();
-  const Bignum z = digest_to_scalar(curve, digest);
+  const Bignum z = Bignum::mod(digest_to_scalar(curve, digest), n);
+  const Bignum d = Bignum::cmp(priv, n) >= 0 ? Bignum::mod(priv, n) : priv;
   for (;;) {
     Bignum k = random_below(n, rng);
     if (k.is_zero()) continue;
     const EcPoint kg = curve.mul_base(k);
     const Bignum r = Bignum::mod(kg.x, n);
     if (r.is_zero()) continue;
-    const Bignum kinv = Bignum::mod_inverse(k, n);
     // s = k^-1 (z + r d) mod n
-    Bignum s = Bignum::mod_mul(r, priv, n);
-    s = Bignum::mod_add(s, Bignum::mod(z, n), n);
-    s = Bignum::mod_mul(kinv, s, n);
+    Bignum s = curve.order_mul(r, d);
+    s = Bignum::mod_add(s, z, n);
+    s = curve.order_mul(curve.order_inverse(k), s);
     if (s.is_zero()) continue;
     return EcdsaSignature{r, s};
   }
@@ -631,9 +667,9 @@ Status ecdsa_verify(const EcCurve& curve, const EcPoint& pub, BytesView digest,
   if (!curve.on_curve(pub) || pub.infinity)
     return err(Code::kCryptoError, "invalid public key");
   const Bignum z = Bignum::mod(digest_to_scalar(curve, digest), n);
-  const Bignum sinv = Bignum::mod_inverse(sig.s, n);
-  const Bignum u1 = Bignum::mod_mul(z, sinv, n);
-  const Bignum u2 = Bignum::mod_mul(sig.r, sinv, n);
+  const Bignum sinv = curve.order_inverse(sig.s);
+  const Bignum u1 = curve.order_mul(z, sinv);
+  const Bignum u2 = curve.order_mul(sig.r, sinv);
   const EcPoint p1 = curve.mul_base(u1);
   const EcPoint p2 = curve.mul(u2, pub);
   const EcPoint sum = curve.add(p1, p2);

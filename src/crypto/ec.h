@@ -61,6 +61,19 @@ class EcCurve {
     return mul_generic(k, generator());
   }
 
+  // Arithmetic modulo the group order n (ECDSA's scalar side); operands in
+  // [0, n), and a != 0 to invert. The fixed-width path multiplies on
+  // stack limbs and inverts as a^(n-2) (n is prime); the _generic forms
+  // (allocating Bignum code, extended Euclid) are its oracle.
+  Bignum order_mul(const Bignum& a, const Bignum& b) const;
+  Bignum order_inverse(const Bignum& a) const;
+  Bignum order_mul_generic(const Bignum& a, const Bignum& b) const {
+    return Bignum::mod_mul(a, b, n_);
+  }
+  Bignum order_inverse_generic(const Bignum& a) const {
+    return Bignum::mod_inverse(a, n_);
+  }
+
   // SEC1 uncompressed encoding: 0x04 || X || Y.
   Bytes encode_point(const EcPoint& pt) const;
   Result<EcPoint> decode_point(BytesView data) const;

@@ -342,6 +342,7 @@ bool QatEngineProvider::try_remote(qat::OpClass cls, const RemoteSpec<T>& spec,
   // Counted like a device submission so the heuristic poller keeps the
   // poll cadence up — poll() is also what pumps the channel.
   inflight_[static_cast<int>(cls)].fetch_add(1, std::memory_order_release);
+  remote_inflight_.fetch_add(1, std::memory_order_relaxed);
 
   const uint64_t deadline_ns =
       config_.remote_op_deadline_us == 0
@@ -358,6 +359,7 @@ bool QatEngineProvider::try_remote(qat::OpClass cls, const RemoteSpec<T>& spec,
       });
   if (!accepted) {
     inflight_[static_cast<int>(cls)].fetch_sub(1, std::memory_order_release);
+    remote_inflight_.fetch_sub(1, std::memory_order_relaxed);
     ++stats_.remote_failures;
     obs_counters().remote_failure.inc();
     remote_on_failure();
@@ -379,6 +381,7 @@ bool QatEngineProvider::try_remote(qat::OpClass cls, const RemoteSpec<T>& spec,
     }
   }
   inflight_[static_cast<int>(cls)].fetch_sub(1, std::memory_order_release);
+  remote_inflight_.fetch_sub(1, std::memory_order_relaxed);
 
   switch (wait->status) {
     case remote::RemoteStatus::kOk: {
@@ -445,6 +448,7 @@ bool QatEngineProvider::try_remote_seal_batch(
     ++stats_.remote_ops;
     obs_counters().remote_op.inc();
     inflight_[static_cast<int>(cls)].fetch_add(1, std::memory_order_release);
+    remote_inflight_.fetch_add(1, std::memory_order_relaxed);
     if (!remote_->submit(specs[i].op, specs[i].encode(), deadline_ns,
                          [wait](remote::RemoteStatus st, BytesView payload) {
                            wait->status = st;
@@ -458,6 +462,7 @@ bool QatEngineProvider::try_remote_seal_batch(
       // and let the settle loop below do the failure accounting.
       inflight_[static_cast<int>(cls)].fetch_sub(1,
                                                  std::memory_order_release);
+      remote_inflight_.fetch_sub(1, std::memory_order_relaxed);
       wait->status = remote::RemoteStatus::kChannelDown;
       wait->done.store(true, std::memory_order_release);
     } else {
@@ -486,6 +491,7 @@ bool QatEngineProvider::try_remote_seal_batch(
   }
   inflight_[static_cast<int>(cls)].fetch_sub(submitted,
                                              std::memory_order_release);
+  remote_inflight_.fetch_sub(submitted, std::memory_order_relaxed);
 
   // Settle per record in caller order; remote-failed records fall back to
   // the inline compute individually (the batch doesn't degrade as a unit).

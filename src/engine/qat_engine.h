@@ -249,6 +249,11 @@ class QatEngineProvider : public CryptoProvider {
     remote_ = backend;
   }
   remote::RemoteBackend* remote_backend() const { return remote_; }
+  // Ops handed to the remote tier and not yet settled. Only poll()'s
+  // pump() completes them, so a poller must not park while any exist.
+  size_t remote_inflight() const {
+    return remote_inflight_.load(std::memory_order_relaxed);
+  }
   BreakerState remote_breaker_state() const {
     return static_cast<BreakerState>(
         remote_breaker_.state.load(std::memory_order_acquire));
@@ -416,6 +421,7 @@ class QatEngineProvider : public CryptoProvider {
   // for the whole tier (not per class): the failure domain is the channel.
   remote::RemoteBackend* remote_ = nullptr;
   ClassBreaker remote_breaker_;
+  std::atomic<size_t> remote_inflight_{0};
   // Deadline registry (async ops only; sync ops check the clock in their
   // own spin loop). Touched only when op_deadline_us != 0.
   mutable std::mutex pending_mu_;

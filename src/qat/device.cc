@@ -1,5 +1,8 @@
 #include "qat/device.h"
 
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <sstream>
@@ -29,7 +32,30 @@ CryptoInstance::CryptoInstance(QatEndpoint* endpoint, int id,
     : endpoint_(endpoint),
       id_(id),
       request_ring_(ring_capacity),
-      response_ring_(round_up_pow2(response_capacity)) {}
+      response_ring_(round_up_pow2(response_capacity)),
+      doorbell_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (doorbell_fd_ < 0) {
+    QTLS_WARN << "instance " << id << ": no doorbell eventfd; pollers spin";
+  }
+}
+
+CryptoInstance::~CryptoInstance() {
+  if (doorbell_fd_ >= 0) ::close(doorbell_fd_);
+}
+
+void CryptoInstance::clear_doorbell() {
+  uint64_t count = 0;
+  (void)!::read(doorbell_fd_, &count, sizeof(count));
+}
+
+void CryptoInstance::ring_doorbell() {
+  // The exchange is the engine's half of the chain arm_doorbell()
+  // describes; it runs after the response push, so a poller arming later
+  // synchronizes with it and its re-scan sees the push.
+  if (!doorbell_armed_.exchange(false, std::memory_order_acq_rel)) return;
+  const uint64_t one = 1;
+  (void)!::write(doorbell_fd_, &one, sizeof(one));
+}
 
 bool CryptoInstance::push_request(CryptoRequest& req) {
   // Gate on the inflight bound first: it guarantees the bounded response
@@ -238,6 +264,7 @@ void QatEndpoint::serve(EngineSlot& slot, CryptoRequest& req,
     // succeeds; the yield loop is a backstop, not a steady state.
     while (!from->response_ring_.try_push(std::move(entry)))
       std::this_thread::yield();
+    from->ring_doorbell();
   }
   busy_.fetch_sub(1, std::memory_order_relaxed);
 }

@@ -76,6 +76,10 @@ class CryptoInstance {
  public:
   CryptoInstance(QatEndpoint* endpoint, int id, size_t ring_capacity,
                  size_t response_capacity);
+  ~CryptoInstance();
+
+  CryptoInstance(const CryptoInstance&) = delete;
+  CryptoInstance& operator=(const CryptoInstance&) = delete;
 
   // Non-blocking submit. Returns false when the request ring is full or the
   // instance is at its inflight bound (response-ring backpressure) — the
@@ -104,8 +108,36 @@ class CryptoInstance {
   int id() const { return id_; }
   QatEndpoint* endpoint() const { return endpoint_; }
 
+  // --- response doorbell (DESIGN.md "Worker idle: response doorbell") ---
+  // An eventfd the polling thread watches while it parks. An engine rings
+  // it after a response push only when the poller armed it, so an awake
+  // poller costs the engines no syscall. The instance owns the fd because
+  // it outlives the workers that poll it (crash-only rebuilds): a
+  // worker-owned fd could be closed and reused while an engine still
+  // writes to it.
+  int doorbell_fd() const { return doorbell_fd_; }
+  // Park protocol, polling-thread side: arm, re-scan with
+  // response_ready(), park; disarm on waking. Every access to the armed
+  // flag is an acq_rel exchange, so the accesses form one chain in which
+  // each synchronizes with the ones before it: either the poller's arm
+  // follows an engine's post-push exchange (the re-scan sees that push)
+  // or precedes it (the engine reads `true` and rings).
+  void arm_doorbell() {
+    doorbell_armed_.exchange(true, std::memory_order_acq_rel);
+  }
+  void disarm_doorbell() {
+    doorbell_armed_.exchange(false, std::memory_order_acq_rel);
+  }
+  // Resets the eventfd counter once epoll has reported it readable.
+  void clear_doorbell();
+  // A response is in (or being pushed onto) the response ring.
+  bool response_ready() const { return !response_ring_.empty_hint(); }
+
  private:
   friend class QatEndpoint;
+
+  // Engine side: ring the doorbell if the poller armed it.
+  void ring_doorbell();
 
   struct ResponseEntry {
     CryptoResponse response;
@@ -129,6 +161,8 @@ class CryptoInstance {
   std::atomic<size_t> inflight_{0};
   // Request-side firmware counters (written by the single submitter).
   OpClassCounters req_counters_;
+  int doorbell_fd_ = -1;
+  alignas(kCacheLine) std::atomic<bool> doorbell_armed_{false};
 };
 
 // Firmware counters, readable like /sys/kernel/debug/qat*/fw_counters.

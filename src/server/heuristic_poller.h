@@ -45,22 +45,25 @@ class HeuristicPoller {
   // have changed (§4.3). `active_tls_connections` is TC_active =
   // TC_alive - TC_idle. Returns the number of responses retrieved.
   size_t maybe_poll(size_t active_tls_connections, uint64_t now_ms) {
-    const size_t total = engine_->inflight_total();
-    if (total == 0) return 0;
-
-    const bool asym_inflight = engine_->inflight(qat::OpClass::kAsym) > 0;
-    const size_t threshold =
-        asym_inflight ? config_.asym_threshold : config_.sym_threshold;
-
-    if (total >= threshold) {
-      ++stats_.efficiency_triggers;
-      return do_poll(now_ms);
-    }
-    if (active_tls_connections > 0 && total >= active_tls_connections) {
-      ++stats_.timeliness_triggers;
-      return do_poll(now_ms);
+    switch (trigger(active_tls_connections)) {
+      case Trigger::kEfficiency:
+        ++stats_.efficiency_triggers;
+        return do_poll(now_ms);
+      case Trigger::kTimeliness:
+        ++stats_.timeliness_triggers;
+        return do_poll(now_ms);
+      case Trigger::kNone:
+        break;
     }
     return 0;
+  }
+
+  // Whether maybe_poll() would poll now. With polled delivery its inputs
+  // (R_total, TC_active) move only on the polling thread, so a poller that
+  // parks while this is false needs no response doorbell: no response can
+  // change the answer.
+  bool would_poll(size_t active_tls_connections) const {
+    return trigger(active_tls_connections) != Trigger::kNone;
   }
 
   // Failover check, called from a coarse timer (§4.3).
@@ -71,10 +74,37 @@ class HeuristicPoller {
     return do_poll(now_ms);
   }
 
+  // Milliseconds until failover_poll() fires: 0 when it is due now,
+  // UINT64_MAX while nothing is in flight. A parked poller sleeps at most
+  // this long, which keeps the §4.3 bound on a lost response.
+  uint64_t failover_due_in_ms(uint64_t now_ms) const {
+    if (engine_->inflight_total() == 0) return UINT64_MAX;
+    const uint64_t since = now_ms - last_poll_ms_;
+    return since >= config_.failover_interval_ms
+               ? 0
+               : config_.failover_interval_ms - since;
+  }
+
   const HeuristicPollerStats& stats() const { return stats_; }
   const HeuristicPollerConfig& config() const { return config_; }
 
  private:
+  enum class Trigger : uint8_t { kNone, kEfficiency, kTimeliness };
+
+  Trigger trigger(size_t active_tls_connections) const {
+    const size_t total = engine_->inflight_total();
+    if (total == 0) return Trigger::kNone;
+
+    const bool asym_inflight = engine_->inflight(qat::OpClass::kAsym) > 0;
+    const size_t threshold =
+        asym_inflight ? config_.asym_threshold : config_.sym_threshold;
+
+    if (total >= threshold) return Trigger::kEfficiency;
+    if (active_tls_connections > 0 && total >= active_tls_connections)
+      return Trigger::kTimeliness;
+    return Trigger::kNone;
+  }
+
   size_t do_poll(uint64_t now_ms) {
     // One trigger = one batched pass over all of the engine's instances;
     // every ready response comes back in this single call (the coalescing

@@ -129,8 +129,19 @@ Worker::Worker(tls::TlsContext* tls_ctx, engine::QatEngineProvider* qat,
       park_pool_(
           std::make_unique<common::SlabPool<ParkedAccept>>("server.parked")),
       scratch_pool_("server.hs_scratch") {
-  if (qat_ && config_.poll == PollScheme::kHeuristic)
+  if (qat_ && config_.poll == PollScheme::kHeuristic) {
     poller_ = std::make_unique<HeuristicPoller>(qat_, config_.heuristic);
+    doorbells_ = qat_->instances();
+    for (qat::CryptoInstance* inst : doorbells_) {
+      if (inst->doorbell_fd() < 0 ||
+          !loop_.add(inst->doorbell_fd(), true, false,
+                     [inst](net::FdEvents) { inst->clear_doorbell(); })
+               .is_ok()) {
+        doorbells_.clear();  // parking off: the loop spins as in §3.4
+        break;
+      }
+    }
+  }
   if (config_.clock) loop_.set_clock(config_.clock);
   response_body_.resize(config_.response_body_size);
   for (size_t i = 0; i < response_body_.size(); ++i)
@@ -807,6 +818,7 @@ std::string Worker::stats_json() const {
      << ",\"disorder_events\":" << stats_.disorder_events
      << ",\"async_parks\":" << stats_.async_parks
      << ",\"async_failures\":" << stats_.async_failures
+     << ",\"idle_sleeps\":" << stats_.idle_sleeps
      << ",\"alive\":" << alive_connections()
      << ",\"active\":" << active_connections() << "}";
   os << ",\"overload\":{"
@@ -1045,8 +1057,41 @@ std::string Worker::control_response(Endpoint endpoint, int* http_status) {
 
 // ---------------------------------------------------------------- loop ----
 
-void Worker::maybe_heuristic_poll() {
-  if (poller_) (void)poller_->maybe_poll(active_connections(), now_ms());
+size_t Worker::maybe_heuristic_poll() {
+  return poller_ ? poller_->maybe_poll(active_connections(), now_ms()) : 0;
+}
+
+int Worker::park_timeout_ms(int timeout_ms) {
+  if (timeout_ms == 0 || !idle_pass_ || doorbells_.empty() ||
+      !async_queue_.empty() || qat_->remote_inflight() > 0)
+    return 0;
+  // Prepare / re-scan / commit, as the engines do on their futex: arm every
+  // doorbell, then look at the response rings once more. A response that
+  // lands after an arm rings its doorbell; one that landed before shows up
+  // here. Only responses the heuristic would poll matter: one it declines
+  // changes none of its inputs, so it must not keep the worker awake.
+  if (poller_->would_poll(active_connections())) {
+    for (qat::CryptoInstance* inst : doorbells_) inst->arm_doorbell();
+    doorbells_armed_ = true;
+    for (qat::CryptoInstance* inst : doorbells_) {
+      if (inst->response_ready()) {
+        disarm_doorbells();
+        return 0;
+      }
+    }
+  }
+  // Never sleep past the failover poll: a lost response (or a lost
+  // doorbell) costs at most one failover interval, as it did when spinning.
+  const uint64_t due = poller_->failover_due_in_ms(now_ms());
+  if (timeout_ms < 0 || due < static_cast<uint64_t>(timeout_ms))
+    timeout_ms = static_cast<int>(std::min<uint64_t>(due, INT32_MAX));
+  if (timeout_ms > 0) ++stats_.idle_sleeps;
+  return timeout_ms;
+}
+
+void Worker::disarm_doorbells() {
+  for (qat::CryptoInstance* inst : doorbells_) inst->disarm_doorbell();
+  doorbells_armed_ = false;
 }
 
 int Worker::run_once(int timeout_ms) {
@@ -1054,22 +1099,31 @@ int Worker::run_once(int timeout_ms) {
   if (config_.control != nullptr) maybe_apply_runtime_config();
   if (drain_requested_.load(std::memory_order_acquire) && !draining_)
     begin_drain();
-  // §3.4: as long as async work is pending, keep the loop spinning rather
-  // than sleep-waiting in epoll.
+  // §3.4 keeps the loop spinning while async work is pending, which assumes
+  // a dedicated core per worker. On a shared core the spin takes CPU from
+  // the engines, so a pass with nothing to do parks on the response
+  // doorbells instead (DESIGN.md "Worker idle: response doorbell").
   const bool work_pending =
       !async_queue_.empty() || (qat_ && qat_->inflight_total() > 0);
   heartbeat_.phase.store(static_cast<uint8_t>(WorkerPhase::kPoll),
                          std::memory_order_relaxed);
-  const int n = loop_.run_once(work_pending ? 0 : timeout_ms);
+  const uint64_t progress_before =
+      heartbeat_.progress.load(std::memory_order_relaxed);
+  const int n =
+      loop_.run_once(work_pending ? park_timeout_ms(timeout_ms) : timeout_ms);
+  if (doorbells_armed_) disarm_doorbells();
 
-  maybe_heuristic_poll();
-  if (poller_) (void)poller_->failover_poll(now_ms());
+  size_t retrieved = maybe_heuristic_poll();
+  if (poller_) retrieved += poller_->failover_poll(now_ms());
 
   // End of the main event loop: drain the kernel-bypass async queue.
   heartbeat_.phase.store(static_cast<uint8_t>(WorkerPhase::kAsyncDrain),
                          std::memory_order_relaxed);
-  async_queue_.drain();
-  maybe_heuristic_poll();
+  const size_t drained = async_queue_.drain();
+  retrieved += maybe_heuristic_poll();
+  idle_pass_ = n == 0 && drained == 0 && retrieved == 0 &&
+               heartbeat_.progress.load(std::memory_order_relaxed) ==
+                   progress_before;
   // Heartbeat: one completed pass (the supervisor scores freshness on this).
   heartbeat_.phase.store(static_cast<uint8_t>(WorkerPhase::kIdle),
                          std::memory_order_relaxed);

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "common/slab.h"
 #include "net/event_loop.h"
@@ -92,6 +93,8 @@ struct WorkerStats {
   uint64_t async_parks = 0;       // WANT_ASYNC occurrences
   uint64_t async_failures = 0;    // connections torn down because the async
                                   // op they were parked on erred/expired
+  uint64_t idle_sleeps = 0;       // passes that parked in epoll with offloads
+                                  // in flight (response doorbell, DESIGN.md)
 };
 
 class Worker {
@@ -115,7 +118,12 @@ class Worker {
   Status adopt(int fd);
 
   // One event-loop iteration: epoll dispatch, heuristic polls, async-queue
-  // drain. Returns number of epoll events dispatched.
+  // drain. Returns number of epoll events dispatched. While offloads are in
+  // flight the epoll wait is 0 (a spin), except under heuristic polling
+  // after a pass that found nothing to do: the worker then parks for up to
+  // min(timeout_ms, time to the failover poll) on its instances' response
+  // doorbells (DESIGN.md "Worker idle: response doorbell"). run_once(0)
+  // never sleeps.
   int run_once(int timeout_ms = 10);
   // Loop until `stop()` returns true.
   void run_until(const std::function<bool()>& stop, int timeout_ms = 10);
@@ -242,7 +250,12 @@ class Worker {
   void on_socket_event(Conn* conn, net::FdEvents events);
   void set_idle(Conn* conn, bool idle);
 
-  void maybe_heuristic_poll();
+  size_t maybe_heuristic_poll();
+  // The epoll timeout of a pass while offloads are in flight: 0 unless the
+  // previous pass found nothing to do, else the park bound. Arms the
+  // response doorbells when the heuristic would poll a response.
+  int park_timeout_ms(int timeout_ms);
+  void disarm_doorbells();
   // Apply a newly published RuntimeConfig generation on the worker thread
   // (credentials, overload caps, http limits, file root, remote rebind).
   void maybe_apply_runtime_config();
@@ -278,6 +291,12 @@ class Worker {
 
   AsyncEventQueue async_queue_;
   std::unique_ptr<HeuristicPoller> poller_;
+  // Response doorbells (DESIGN.md "Worker idle: response doorbell"): the
+  // engine's instances, registered in loop_; empty when parking is off
+  // (no heuristic poller, or an instance without an eventfd).
+  std::vector<qat::CryptoInstance*> doorbells_;
+  bool doorbells_armed_ = false;
+  bool idle_pass_ = false;  // the last pass found nothing to do
   Bytes response_body_;
   WorkerStats stats_;
 

@@ -484,6 +484,7 @@ WorkerPoolStats WorkerPool::stats() const {
     out.totals.errors += s.errors;
     out.totals.disorder_events += s.disorder_events;
     out.totals.async_parks += s.async_parks;
+    out.totals.idle_sleeps += s.idle_sleeps;
     out.per_worker_handshakes.push_back(s.handshakes_completed);
   }
   if (session_plane_) {

@@ -198,6 +198,86 @@ TEST_P(FastCurveTest, EcdsaRoundTripsAndVerifiesWithGenericOracle) {
   }
 }
 
+TEST_P(FastCurveTest, OrderArithmeticMatchesGenericOracle) {
+  const EcCurve& c = curve();
+  const Bignum& n = c.order();
+  HmacDrbg rng = make_test_drbg(15500 + static_cast<uint64_t>(GetParam()));
+  std::vector<Bignum> values = {Bignum(1), Bignum(2),
+                                Bignum::sub(n, Bignum(1)),
+                                Bignum::sub(n, Bignum(2)),
+                                Bignum::shl(Bignum(1), n.bit_length() - 1)};
+  for (size_t bits : {1, 63, 64, 65, 128, 200}) {
+    const Bignum v = random_bits(bits, rng);
+    if (!v.is_zero()) values.push_back(v);
+  }
+  for (int i = 0; i < 500; ++i) values.push_back(random_scalar(c, rng));
+
+  size_t mismatches = 0;
+  for (size_t i = 0; i < values.size(); ++i) {
+    const Bignum& a = values[i];
+    const Bignum& b = values[(i * 7 + 3) % values.size()];
+    if (c.order_mul(a, b) != c.order_mul_generic(a, b)) {
+      ++mismatches;
+      ADD_FAILURE() << "order_mul a=" << a.to_hex() << " b=" << b.to_hex();
+    }
+    const Bignum inv = c.order_inverse(a);
+    if (inv != c.order_inverse_generic(a)) {
+      ++mismatches;
+      ADD_FAILURE() << "order_inverse a=" << a.to_hex();
+    }
+    EXPECT_EQ(c.order_mul(a, inv), Bignum(1)) << a.to_hex();
+  }
+  EXPECT_TRUE(c.order_mul(Bignum(0), values.back()).is_zero());
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// ECDSA signing replayed on the generic path: the same DRBG stream gives
+// the same nonce k, so r and s must match bit for bit.
+TEST_P(FastCurveTest, EcdsaSignMatchesGenericOracle) {
+  const EcCurve& c = curve();
+  const Bignum& n = c.order();
+  HmacDrbg rng = make_test_drbg(15600 + static_cast<uint64_t>(GetParam()));
+  size_t mismatches = 0;
+  for (int i = 0; i < 100; ++i) {
+    const EcKeyPair key = ec_generate_key(c, rng);
+    const Bytes message = rng.generate(1 + small_below(rng, 200));
+    // Digests shorter than, equal to and longer than the order.
+    const Bytes digest = i % 3 == 0   ? sha256(message)
+                         : i % 3 == 1 ? sha384(message)
+                                      : sha512(message);
+    const uint64_t nonce_seed = 15700 + static_cast<uint64_t>(i);
+    HmacDrbg fast_rng = make_test_drbg(nonce_seed);
+    const EcdsaSignature sig = ecdsa_sign(c, key.priv, digest, fast_rng);
+
+    HmacDrbg oracle_rng = make_test_drbg(nonce_seed);
+    Bignum z = Bignum::from_bytes_be(digest);
+    if (digest.size() * 8 > n.bit_length())
+      z = Bignum::shr(z, digest.size() * 8 - n.bit_length());
+    z = Bignum::mod(z, n);
+    Bignum r, s;
+    do {
+      Bignum k;
+      do {
+        k = random_below(n, oracle_rng);
+      } while (k.is_zero());
+      r = Bignum::mod(c.mul_base_generic(k).x, n);
+      if (r.is_zero()) continue;
+      s = Bignum::mod_add(c.order_mul_generic(r, key.priv), z, n);
+      s = c.order_mul_generic(c.order_inverse_generic(k), s);
+    } while (r.is_zero() || s.is_zero());
+
+    if (sig.r != r || sig.s != s) {
+      ++mismatches;
+      ADD_FAILURE() << "ecdsa_sign i=" << i << " d=" << key.priv.to_hex();
+    }
+    EXPECT_TRUE(ecdsa_verify(c, key.pub, digest, sig).is_ok());
+    EcdsaSignature tampered = sig;
+    tampered.s = Bignum::mod_add(tampered.s, Bignum(1), n);
+    EXPECT_FALSE(ecdsa_verify(c, key.pub, digest, tampered).is_ok());
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
 // --------------------------------------------------- field primitives ----
 
 template <size_t K>

@@ -2,6 +2,8 @@
 
 #include "crypto/keystore.h"
 #include "engine/polling_thread.h"
+#include "qat/fault.h"
+#include <chrono>
 #include <thread>
 
 #include "server_test_util.h"
@@ -627,6 +629,129 @@ TEST(HeuristicPoller, FailoverFiresAfterInterval) {
   EXPECT_GT(poller.stats().failover_triggers, 0u);
   ASSERT_EQ(asyncx::start_job(&job, &wctx, &ret, fn),
             asyncx::JobStatus::kFinished);
+}
+
+// A parked worker sleeps at most failover_due_in_ms(); the answer must track
+// failover_poll() exactly — 0 precisely when it would fire.
+TEST(HeuristicPoller, FailoverDueTracksLastPoll) {
+  qat::FaultPlan plan;
+  qat::DeviceConfig dcfg;
+  dcfg.num_endpoints = 1;
+  dcfg.engines_per_endpoint = 2;
+  dcfg.fault_plan = &plan;
+  qat::QatDevice device(dcfg);
+  engine::QatEngineConfig qcfg;
+  // Releases the dropped op at the end; long enough that no poll before
+  // then expires it, even on a slow (sanitized, loaded) run.
+  qcfg.op_deadline_us = 100'000;
+  engine::QatEngineProvider qat(device.allocate_instance(), qcfg);
+  HeuristicPollerConfig hcfg;
+  hcfg.failover_interval_ms = 5;
+  HeuristicPoller poller(&qat, hcfg);
+
+  // Nothing in flight: no failover deadline at all.
+  EXPECT_EQ(poller.failover_due_in_ms(0), UINT64_MAX);
+  EXPECT_EQ(poller.failover_due_in_ms(1'000'000), UINT64_MAX);
+
+  // The response is dropped, so the op stays in flight until its deadline.
+  plan.schedule(qat::OpKind::kPrfTls12, 1, qat::FaultKind::kDrop);
+  asyncx::AsyncJob* job = nullptr;
+  asyncx::WaitCtx wctx;
+  int ret = 0;
+  auto fn = [&]() -> int {
+    auto r = qat.prf_tls12(HashAlg::kSha256, to_bytes("k"), "l",
+                           to_bytes("s"), 32);
+    return r.is_ok() ? 1 : -1;
+  };
+  ASSERT_EQ(asyncx::start_job(&job, &wctx, &ret, fn),
+            asyncx::JobStatus::kPaused);
+  ASSERT_EQ(qat.inflight_total(), 1u);
+
+  // No poll yet (last poll at 0): due at 5.
+  EXPECT_EQ(poller.failover_due_in_ms(2), 3u);
+  EXPECT_EQ(poller.failover_due_in_ms(4), 1u);
+  EXPECT_EQ(poller.failover_due_in_ms(5), 0u);
+  EXPECT_EQ(poller.failover_due_in_ms(50), 0u);
+  for (uint64_t now : {4u, 5u}) {
+    const bool due = poller.failover_due_in_ms(now) == 0;
+    const uint64_t before = poller.stats().failover_triggers;
+    (void)poller.failover_poll(now);
+    EXPECT_EQ(poller.stats().failover_triggers - before, due ? 1u : 0u)
+        << now;
+  }
+  EXPECT_EQ(poller.stats().failover_triggers, 1u);
+  // The failover poll at 5 restarted the interval.
+  EXPECT_EQ(poller.failover_due_in_ms(5), 5u);
+  EXPECT_EQ(poller.failover_due_in_ms(9), 1u);
+  EXPECT_EQ(poller.failover_due_in_ms(10), 0u);
+
+  // A heuristic poll restarts it too: timeliness fires at 100 (1 >= 1).
+  EXPECT_TRUE(poller.would_poll(/*active=*/1));
+  EXPECT_FALSE(poller.would_poll(/*active=*/50));
+  (void)poller.maybe_poll(/*active=*/1, /*now_ms=*/100);
+  EXPECT_EQ(poller.stats().timeliness_triggers, 1u);
+  EXPECT_EQ(poller.failover_due_in_ms(100), 5u);
+  EXPECT_EQ(poller.failover_due_in_ms(103), 2u);
+  // A declined maybe_poll does not.
+  (void)poller.maybe_poll(/*active=*/50, /*now_ms=*/103);
+  EXPECT_EQ(poller.failover_due_in_ms(105), 0u);
+
+  // Let the deadline expire the dropped op and finish the job.
+  std::this_thread::sleep_for(std::chrono::milliseconds(110));
+  (void)poller.failover_poll(/*now_ms=*/1'000);
+  EXPECT_EQ(qat.inflight_total(), 0u);
+  EXPECT_EQ(poller.failover_due_in_ms(1'000), UINT64_MAX);
+  ASSERT_EQ(asyncx::start_job(&job, &wctx, &ret, fn),
+            asyncx::JobStatus::kFinished);
+  EXPECT_EQ(ret, 1);  // completed by the software fallback
+}
+
+// would_poll() is maybe_poll()'s predicate, thresholds included.
+TEST(HeuristicPoller, WouldPollMatchesTriggers) {
+  qat::FaultPlan plan;
+  qat::DeviceConfig dcfg;
+  dcfg.num_endpoints = 1;
+  dcfg.engines_per_endpoint = 2;
+  dcfg.fault_plan = &plan;
+  qat::QatDevice device(dcfg);
+  engine::QatEngineConfig qcfg;
+  qcfg.op_deadline_us = 100'000;  // as above
+  engine::QatEngineProvider qat(device.allocate_instance(), qcfg);
+  HeuristicPollerConfig hcfg;
+  hcfg.sym_threshold = 2;
+  HeuristicPoller poller(&qat, hcfg);
+
+  EXPECT_FALSE(poller.would_poll(/*active=*/0));  // nothing in flight
+  plan.schedule(qat::OpKind::kPrfTls12, 1, qat::FaultKind::kDrop);
+  plan.schedule(qat::OpKind::kPrfTls12, 2, qat::FaultKind::kDrop);
+  asyncx::AsyncJob* jobs[2] = {nullptr, nullptr};
+  asyncx::WaitCtx wctx[2];
+  int ret[2] = {0, 0};
+  auto fn = [&]() -> int {
+    auto r = qat.prf_tls12(HashAlg::kSha256, to_bytes("k"), "l",
+                           to_bytes("s"), 32);
+    return r.is_ok() ? 1 : -1;
+  };
+  ASSERT_EQ(asyncx::start_job(&jobs[0], &wctx[0], &ret[0], fn),
+            asyncx::JobStatus::kPaused);
+  // R_total = 1: below the sym threshold, timeliness only when 1 >= active.
+  EXPECT_FALSE(poller.would_poll(/*active=*/0));
+  EXPECT_TRUE(poller.would_poll(/*active=*/1));
+  EXPECT_FALSE(poller.would_poll(/*active=*/2));
+  ASSERT_EQ(asyncx::start_job(&jobs[1], &wctx[1], &ret[1], fn),
+            asyncx::JobStatus::kPaused);
+  // R_total = 2 reaches the sym threshold: efficiency at any TC_active.
+  EXPECT_TRUE(poller.would_poll(/*active=*/0));
+  EXPECT_TRUE(poller.would_poll(/*active=*/50));
+  (void)poller.maybe_poll(/*active=*/50, /*now_ms=*/1);
+  EXPECT_EQ(poller.stats().efficiency_triggers, 1u);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(110));
+  (void)poller.failover_poll(/*now_ms=*/1'000);
+  EXPECT_EQ(qat.inflight_total(), 0u);
+  for (int i = 0; i < 2; ++i)
+    ASSERT_EQ(asyncx::start_job(&jobs[i], &wctx[i], &ret[i], fn),
+              asyncx::JobStatus::kFinished);
 }
 
 }  // namespace
